@@ -11,12 +11,15 @@
 // per-benchmark metrics map. Non-benchmark lines are ignored, so piping the
 // whole `go test` output through is fine.
 //
-// Compare mode checks a fresh report against a committed baseline and exits
-// non-zero on a regression — the CI bench-regression smoke job. -metric
-// repeats, so one invocation gates several metrics of the same benchmark
-// (every gate is evaluated and every failure reported before exiting):
+// Compare mode checks a fresh report against a baseline report and exits
+// non-zero on a regression — the CI bench-regression job, which records
+// both reports on one runner (scripts/bench_ab.sh). A report may hold
+// repeated lines of one benchmark (go test -count N, or interleaved
+// rounds); the gate is then the ratio of the two medians. -metric repeats,
+// so one invocation gates several metrics of the same benchmark (every
+// gate is evaluated and every failure reported before exiting):
 //
-//	benchjson -baseline BENCH_8.json -bench FlowChip/s9234 -metric ns/op -metric allocs/op -max-ratio 1.25 fresh.json
+//	benchjson -baseline base.json -bench FlowChip/s9234 -metric ns/op -metric allocs/op -max-ratio 1.25 head.json
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,19 +87,26 @@ func parseLine(line string) (Result, bool) {
 	return r, true
 }
 
-// findMetric looks one benchmark's metric up in a report.
-func findMetric(rep *Report, bench, metric string) (float64, error) {
+// medianMetric returns the median of one benchmark's metric over every
+// line of it in a report, and the number of lines.
+func medianMetric(rep *Report, bench, metric string) (float64, int, error) {
+	var vs []float64
 	for _, r := range rep.Results {
 		if r.Name != bench {
 			continue
 		}
 		v, ok := r.Metrics[metric]
 		if !ok {
-			return 0, fmt.Errorf("benchmark %q has no %q metric", bench, metric)
+			return 0, 0, fmt.Errorf("benchmark %q has no %q metric", bench, metric)
 		}
-		return v, nil
+		vs = append(vs, v)
 	}
-	return 0, fmt.Errorf("benchmark %q not in report", bench)
+	if len(vs) == 0 {
+		return 0, 0, fmt.Errorf("benchmark %q not in report", bench)
+	}
+	slices.Sort(vs)
+	n := len(vs)
+	return (vs[(n-1)/2] + vs[n/2]) / 2, n, nil
 }
 
 func readReport(path string) (*Report, error) {
@@ -110,15 +121,15 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// compareOne checks one metric of fresh against the baseline: ratio
-// fresh/baseline must stay ≤ maxRatio. Returns an error describing the
-// regression, or nil.
+// compareOne checks one metric of fresh against the baseline: the ratio of
+// medians fresh/baseline must stay ≤ maxRatio. Returns an error describing
+// the regression, or nil.
 func compareOne(base, fresh *Report, baselinePath, freshPath, bench, metric string, maxRatio float64) error {
-	bv, err := findMetric(base, bench, metric)
+	bv, bn, err := medianMetric(base, bench, metric)
 	if err != nil {
 		return fmt.Errorf("baseline %s: %v", baselinePath, err)
 	}
-	fv, err := findMetric(fresh, bench, metric)
+	fv, fn, err := medianMetric(fresh, bench, metric)
 	if err != nil {
 		return fmt.Errorf("fresh %s: %v", freshPath, err)
 	}
@@ -126,10 +137,10 @@ func compareOne(base, fresh *Report, baselinePath, freshPath, bench, metric stri
 		return fmt.Errorf("baseline %s %s of %s is %v — cannot ratio", bench, metric, baselinePath, bv)
 	}
 	ratio := fv / bv
-	fmt.Printf("benchjson: %s %s: baseline %.0f, fresh %.0f, ratio %.3f (max %.3f)\n",
-		bench, metric, bv, fv, ratio, maxRatio)
+	fmt.Printf("benchjson: %s %s: baseline median %.0f (n=%d), fresh median %.0f (n=%d), ratio %.3f (max %.3f)\n",
+		bench, metric, bv, bn, fv, fn, ratio, maxRatio)
 	if ratio > maxRatio {
-		return fmt.Errorf("%s %s regressed: %.3f× the committed baseline (limit %.3f×)", bench, metric, ratio, maxRatio)
+		return fmt.Errorf("%s %s regressed: %.3f× the baseline (limit %.3f×)", bench, metric, ratio, maxRatio)
 	}
 	return nil
 }
@@ -168,7 +179,7 @@ func (m *metricList) Set(v string) error {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	label := flag.String("label", "", "free-form label recorded in the report (e.g. a PR number)")
-	baseline := flag.String("baseline", "", "compare mode: committed baseline report to diff the positional fresh report against")
+	baseline := flag.String("baseline", "", "compare mode: baseline report to diff the positional fresh report against")
 	bench := flag.String("bench", "FlowChip/s9234", "compare mode: benchmark name to check")
 	var metrics metricList
 	flag.Var(&metrics, "metric", "compare mode: metric to check (repeatable; default ns/op)")

@@ -130,3 +130,36 @@ func TestCompareMultiMetric(t *testing.T) {
 		t.Fatalf("error must name the regressed metric, got %q", err)
 	}
 }
+
+// TestCompareMedians covers reports holding repeated lines of a benchmark
+// (interleaved same-runner rounds): the gate is the ratio of medians, so
+// one slow round on either side neither fails nor hides a regression.
+func TestCompareMedians(t *testing.T) {
+	dir := t.TempDir()
+	runs := func(name string, vs ...float64) string {
+		path := filepath.Join(dir, name)
+		var rs []Result
+		for _, v := range vs {
+			rs = append(rs, Result{Name: "FlowChip/s9234", Metrics: map[string]float64{"ns/op": v}})
+		}
+		writeReport(t, path, rs)
+		return path
+	}
+	base := runs("base.json", 1000, 1010, 990, 5000, 1005) // median 1005
+
+	// A slow first round would fail a first-line comparison (3000/1000).
+	ok := runs("ok.json", 3000, 1100, 1200, 1150, 900) // median 1100
+	if err := compare(base, ok, "FlowChip/s9234", []string{"ns/op"}, 1.25); err != nil {
+		t.Fatalf("median ratio 1.09 within 1.25, got %v", err)
+	}
+	// A fast first round would hide a regression from one (900/1000).
+	bad := runs("bad.json", 900, 1300, 1350, 1290, 1400) // median 1300
+	if err := compare(base, bad, "FlowChip/s9234", []string{"ns/op"}, 1.25); err == nil {
+		t.Fatal("median ratio 1.29 must fail the 1.25 budget")
+	}
+	// An even count takes the mean of the two middle values.
+	even := runs("even.json", 1000, 1500, 1100, 1600) // median 1300
+	if err := compare(base, even, "FlowChip/s9234", []string{"ns/op"}, 1.25); err == nil {
+		t.Fatal("even-count median 1300 (ratio 1.29) must fail the 1.25 budget")
+	}
+}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"effitest/internal/circuit"
 	"effitest/internal/tester"
 )
 
@@ -192,17 +194,92 @@ func TestHoldBoundsRestrictConfiguration(t *testing.T) {
 	}
 }
 
-func BenchmarkAlignSolveHeuristic(b *testing.B) {
+// alignBenchBatch returns up to 16 items of c whose buffered endpoints
+// fall in at most nb buffered FFs (nb < 0: no limit), weighted as the flow
+// weights them, and the number of buffered FFs they touch.
+func alignBenchBatch(c *circuit.Circuit, nb int) ([]alignItem, int) {
+	var bufs, batch []int
+	for p := range c.Paths {
+		pt := &c.Paths[p]
+		add := bufs
+		for _, f := range [2]int{pt.From, pt.To} {
+			if c.Buf.Buffered[f] && !slices.Contains(add, f) {
+				add = append(slices.Clip(add), f)
+			}
+		}
+		if nb >= 0 && len(add) > nb {
+			continue
+		}
+		bufs, batch = add, append(batch, p)
+		if len(batch) == 16 {
+			break
+		}
+	}
+	items := batchItems(c, batch, nil)
+	assignWeights(items, 1000, 1)
+	return items, len(bufs)
+}
+
+// alignBenchCases are the heuristic's three solver paths on one circuit:
+// exhaustive over one and over two buffers, and coordinate descent from a
+// cold start (four starts) and warm-started from its own optimum.
+var alignBenchCases = []struct {
+	name string
+	bufs int
+	warm bool
+}{
+	{"1buf", 1, false},
+	{"2buf", 2, false},
+	{"descent-cold", -1, false},
+	{"descent-warm", -1, true},
+}
+
+// alignBenchInput builds one alignBenchCases input: the items and, for a
+// warm case, the cold solve's buffers to start from.
+func alignBenchInput(tb testing.TB, bufs int, warm bool) (*circuit.Circuit, []alignItem, []float64) {
+	tb.Helper()
 	c, err := tinyCircuitErr(24, 200, 6, 30, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	batches := FormBatches(c, rangeInts(c.NumPaths()), DefaultConfig())
-	items := batchItems(c, batches[0], nil)
-	assignWeights(items, 1000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alignHeuristic(c, items, nil, &alignScratch{})
+	items, got := alignBenchBatch(c, bufs)
+	if bufs >= 0 && got != bufs || bufs < 0 && got <= 2 {
+		tb.Fatalf("batch touches %d buffers, want %d", got, bufs)
+	}
+	var prev []float64
+	if warm {
+		prev = slices.Clone(alignHeuristic(c, items, nil, &alignScratch{}).X)
+	}
+	return c, items, prev
+}
+
+// BenchmarkAlignSolveHeuristic times the steady-state §3.3 solve per
+// solver path, on one warm scratch as the flow keeps one per worker.
+func BenchmarkAlignSolveHeuristic(b *testing.B) {
+	for _, bc := range alignBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			c, items, prev := alignBenchInput(b, bc.bufs, bc.warm)
+			scr := &alignScratch{}
+			alignHeuristic(c, items, prev, scr)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alignHeuristic(c, items, prev, scr)
+			}
+		})
+	}
+}
+
+// TestAlignHeuristicWarmScratchAllocs pins the scratch reuse: once a
+// scratch has solved a batch, re-solving on every path allocates nothing.
+func TestAlignHeuristicWarmScratchAllocs(t *testing.T) {
+	for _, bc := range alignBenchCases {
+		c, items, prev := alignBenchInput(t, bc.bufs, bc.warm)
+		scr := &alignScratch{}
+		alignHeuristic(c, items, prev, scr)
+		if allocs := testing.AllocsPerRun(20, func() { alignHeuristic(c, items, prev, scr) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per warm-scratch solve, want 0", bc.name, allocs)
+		}
 	}
 }
 

@@ -65,11 +65,10 @@ type alignResult struct {
 // the lifetime runBatchTest needs (step the tester, update bounds, warm-
 // start the next solve).
 type alignScratch struct {
-	x, bestX  []float64
-	restart   [3][]float64
-	vals, wts []float64
-	vw        valsWeights // reused sort adapter; repointed per median call
-	bufs      []int
+	x, bestX []float64
+	restart  [3][]float64
+	bufs     []int
+	eval     alignEval
 }
 
 // resizeF returns s with length n, reusing its capacity when possible.
@@ -102,80 +101,163 @@ func alignSolve(c *circuit.Circuit, items []alignItem, prev []float64, cfg Confi
 	}
 }
 
-// valsWeights sorts two parallel slices by value without allocating.
-type valsWeights struct{ v, w []float64 }
-
-func (x valsWeights) Len() int           { return len(x.v) }
-func (x valsWeights) Less(a, b int) bool { return x.v[a] < x.v[b] }
-func (x valsWeights) Swap(a, b int) {
-	x.v[a], x.v[b] = x.v[b], x.v[a]
-	x.w[a], x.w[b] = x.w[b], x.w[a]
-}
-
-// weightedMedian returns the value minimizing Σ w|t - v| — the classical
-// weighted median. It sorts vals and weights in place (callers recompute
-// them before every call).
-func weightedMedian(vals, weights []float64) float64 {
-	return weightedMedianVW(&valsWeights{vals, weights})
-}
-
-// weightedMedianVW is weightedMedian over a reusable adapter: repointing
-// and passing the same *valsWeights every call avoids boxing the slice
-// pair into a sort.Interface on the hot path.
+// alignEval scores buffer moves for the weighted-median alignment
+// incrementally. A sweep varies one buffer f with every other buffer held:
+// the items whose path neither starts nor ends at f ("rest") keep their
+// shifted centres for the whole sweep, so they are shifted, ordered and
+// hold-checked once per sweep, and each candidate value of x[f] redoes
+// only the items it moves, merging them into the rest's order.
 //
-// Small inputs — every batch under the default MaxBatch — take a direct
-// insertion sort over the parallel slices instead of sort.Sort's interface
-// machinery, which otherwise dominates the whole online flow's CPU. The
-// two sorts may order exact-tie values differently, but the weighted
-// median is invariant to tie order: the prefix sum crosses total/2 at the
-// same value either way (tie groups contribute the same weight sum
-// wherever their members sit within the group).
-func weightedMedianVW(vw *valsWeights) float64 {
-	if len(vw.v) <= 32 {
-		insertionSortVW(vw.v, vw.w)
-	} else {
-		sort.Sort(vw)
-	}
-	total := 0.0
-	for _, w := range vw.w {
-		total += w
-	}
-	acc := 0.0
-	for i, w := range vw.w {
-		acc += w
-		if acc >= total/2 {
-			return vw.v[i]
-		}
-	}
-	return vw.v[len(vw.v)-1]
+// Scores are bit-identical to re-sorting the whole batch per candidate:
+// value ties are ordered by item index (the order a stable sort keeps),
+// every shifted centre is the one expression cen + x[from] - x[to], the
+// objective sums in item order, and the weight total is fixed per solve
+// only when every weight is a non-negative integer (exact in any order);
+// otherwise it is summed per candidate in median order.
+type alignEval struct {
+	cen, sh, w []float64 // per item: window centre; shifted centre under x; weight
+	rest       []int     // items the sweep leaves alone, by (sh, index)
+	moved      []int     // items the sweep's buffer moves, by (sh, index)
+	restBad    bool      // some rest item violates its hold bound
+	total      float64   // Σ weight, valid when exact
+	exact      bool
 }
 
-// insertionSortVW sorts the parallel (value, weight) slices by value.
-func insertionSortVW(v, w []float64) {
-	for i := 1; i < len(v); i++ {
-		vi, wi := v[i], w[i]
-		j := i - 1
-		for j >= 0 && v[j] > vi {
-			v[j+1], w[j+1] = v[j], w[j]
-			j--
+// begin caches the per-solve quantities: centres, weights and their total.
+func (e *alignEval) begin(items []alignItem) {
+	e.cen = resizeF(e.cen, len(items))
+	e.sh = resizeF(e.sh, len(items))
+	e.w = resizeF(e.w, len(items))
+	e.total, e.exact = 0, true
+	for i, it := range items {
+		e.cen[i], e.w[i] = it.center(), it.weight
+		e.total += it.weight
+		e.exact = e.exact && it.weight >= 0 && it.weight == math.Trunc(it.weight)
+	}
+	// Non-negative integers below 2^53 sum exactly in any order.
+	e.exact = e.exact && e.total < 1<<53
+}
+
+// sweep prepares to score moves of buffer f (f < 0: nothing moves). A nil
+// x scores the unshifted centres, without hold checks.
+func (e *alignEval) sweep(items []alignItem, x []float64, f int) {
+	e.rest, e.moved, e.restBad = e.rest[:0], e.moved[:0], false
+	for i, it := range items {
+		switch {
+		case it.from == f || it.to == f:
+			e.moved = append(e.moved, i)
+		case x == nil:
+			e.sh[i] = e.cen[i]
+			e.rest = append(e.rest, i)
+		default:
+			e.sh[i] = e.cen[i] + x[it.from] - x[it.to]
+			e.rest = append(e.rest, i)
+			e.restBad = e.restBad || holdBroken(it, x)
 		}
-		v[j+1], w[j+1] = vi, wi
+	}
+	sortByShift(e.rest, e.sh)
+}
+
+// move re-shifts and re-orders the items the sweep's buffer moves, for the
+// current x, and reports whether the batch violates a hold bound.
+func (e *alignEval) move(items []alignItem, x []float64) (bad bool) {
+	bad = e.restBad
+	for _, i := range e.moved {
+		it := items[i]
+		e.sh[i] = e.cen[i] + x[it.from] - x[it.to]
+		bad = bad || holdBroken(it, x)
+	}
+	sortByShift(e.moved, e.sh)
+	return bad
+}
+
+// score returns T re-optimised in closed form (the weighted median of the
+// shifted centres, floored at 0) and the objective Σ w|T - shifted centre|.
+func (e *alignEval) score() (t, obj float64) {
+	if t = e.median(); t < 0 {
+		t = 0
+	}
+	sh := e.sh[:len(e.w)]
+	for i, w := range e.w {
+		obj += w * math.Abs(t-sh[i])
+	}
+	return t, obj
+}
+
+// full scores x from scratch: every item is shifted, ordered and
+// hold-checked (restBad then reports the whole batch).
+func (e *alignEval) full(items []alignItem, x []float64) (t, obj float64) {
+	e.sweep(items, x, -1)
+	return e.score()
+}
+
+// median returns the weighted median of the shifted centres, the value
+// minimizing Σ w|t - v|: the first value, in order, at which the running
+// weight reaches half the total.
+func (e *alignEval) median() float64 {
+	total := e.total
+	if !e.exact {
+		_, total = e.walk(math.NaN()) // acc >= NaN never holds: sums every weight
+	}
+	k, _ := e.walk(total / 2)
+	if k < 0 {
+		return 0
+	}
+	return e.sh[k]
+}
+
+// walk merges rest and moved in (sh, index) order, adding up weights until
+// the sum reaches stop. It returns the item reached (the last item when the
+// sum never reaches stop; -1 for no items) and the sum.
+func (e *alignEval) walk(stop float64) (k int, acc float64) {
+	k = -1
+	r := e.rest
+	for _, m := range e.moved {
+		for ; len(r) > 0 && shiftLess(e.sh, r[0], m); r = r[1:] {
+			if acc += e.w[r[0]]; acc >= stop {
+				return r[0], acc
+			}
+		}
+		if acc += e.w[m]; acc >= stop {
+			return m, acc
+		}
+		k = m
+	}
+	for _, k = range r {
+		if acc += e.w[k]; acc >= stop {
+			break
+		}
+	}
+	return k, acc
+}
+
+// shiftLess orders items by shifted centre, ties by index.
+func shiftLess(sh []float64, a, b int) bool {
+	return sh[a] < sh[b] || sh[a] == sh[b] && a < b
+}
+
+// sortByShift insertion-sorts item indices by (sh, index). Per candidate it
+// sorts only the few moved items; per sweep, the rest of the batch.
+func sortByShift(idx []int, sh []float64) {
+	for i := 1; i < len(idx); i++ {
+		v := idx[i]
+		j := i - 1
+		for ; j >= 0 && shiftLess(sh, v, idx[j]); j-- {
+			idx[j+1] = idx[j]
+		}
+		idx[j+1] = v
 	}
 }
 
 // alignOff keeps buffers at zero and picks the weighted median of centers.
 func alignOff(c *circuit.Circuit, items []alignItem, scr *alignScratch) alignResult {
-	scr.vals = resizeF(scr.vals, len(items))
-	scr.wts = resizeF(scr.wts, len(items))
-	for i, it := range items {
-		scr.vals[i] = it.center()
-		scr.wts[i] = it.weight
-	}
 	scr.x = resizeF(scr.x, c.NumFF)
 	x := scr.x
 	clear(x)
-	scr.vw.v, scr.vw.w = scr.vals, scr.wts
-	t := weightedMedianVW(&scr.vw)
+	e := &scr.eval
+	e.begin(items)
+	e.sweep(items, nil, -1)
+	t := e.median()
 	return alignResult{T: t, X: x, Obj: alignObjective(items, t, x)}
 }
 
@@ -188,19 +270,15 @@ func alignObjective(items []alignItem, T float64, x []float64) float64 {
 	return s
 }
 
-// holdViolated reports whether any item's hold bound is violated by x.
-func holdViolated(items []alignItem, x []float64) bool {
-	for _, it := range items {
-		if !math.IsInf(it.lambda, -1) && x[it.from]-x[it.to] < it.lambda-1e-12 {
-			return true
-		}
-	}
-	return false
+// holdBroken reports whether x violates the item's hold bound.
+func holdBroken(it alignItem, x []float64) bool {
+	return !math.IsInf(it.lambda, -1) && x[it.from]-x[it.to] < it.lambda-1e-12
 }
 
 // alignHeuristic is weighted-median coordinate descent over the buffer
 // lattice: T is re-optimized in closed form; each touched buffer scans its
 // lattice, skipping values that violate any hold bound of the batch.
+// Candidates are scored incrementally (alignEval).
 func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *alignScratch) alignResult {
 	scr.x = resizeF(scr.x, c.NumFF)
 	x := scr.x
@@ -227,23 +305,8 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 	}
 	repairHolds(c, items, bufs, x)
 
-	scr.vals = resizeF(scr.vals, len(items))
-	scr.wts = resizeF(scr.wts, len(items))
-	vals, ws := scr.vals, scr.wts
-	// evalBestT returns the objective with T re-optimized in closed form
-	// (the weighted median of the shifted centers) for the current x.
-	evalBestT := func() (float64, float64) {
-		for i, it := range items {
-			vals[i] = it.center() + x[it.from] - x[it.to]
-			ws[i] = it.weight
-		}
-		scr.vw.v, scr.vw.w = vals, ws
-		t := weightedMedianVW(&scr.vw)
-		if t < 0 {
-			t = 0
-		}
-		return t, alignObjective(items, t, x)
-	}
+	e := &scr.eval
+	e.begin(items)
 
 	latticeValue := func(f, k int) float64 { return c.Buf.Lo[f] + float64(k)*c.Buf.StepSize(f) }
 	steps := c.Buf.Steps
@@ -257,18 +320,22 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		scr.bestX = resizeF(scr.bestX, c.NumFF)
 		bestX := scr.bestX
 		copy(bestX, x)
-		_, best := evalBestT()
-		if holdViolated(items, x) {
+		_, best := e.full(items, x)
+		if e.restBad {
 			best = math.Inf(1)
 		}
 		scan := func() {
-			if _, obj := evalBestT(); obj < best-1e-12 && !holdViolated(items, x) {
+			if e.move(items, x) {
+				return
+			}
+			if _, obj := e.score(); obj < best-1e-12 {
 				best = obj
 				copy(bestX, x)
 			}
 		}
 		switch len(bufs) {
 		case 1:
+			e.sweep(items, x, bufs[0])
 			for k := 0; k <= steps; k++ {
 				x[bufs[0]] = latticeValue(bufs[0], k)
 				scan()
@@ -276,6 +343,7 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		case 2:
 			for k0 := 0; k0 <= steps; k0++ {
 				x[bufs[0]] = latticeValue(bufs[0], k0)
+				e.sweep(items, x, bufs[1])
 				for k1 := 0; k1 <= steps; k1++ {
 					x[bufs[1]] = latticeValue(bufs[1], k1)
 					scan()
@@ -283,30 +351,31 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 			}
 		}
 		copy(x, bestX)
-		t, obj := evalBestT()
+		t, obj := e.full(items, x)
 		return alignResult{T: t, X: x, Obj: obj}
 	}
 
 	// Multi-start coordinate descent for batches touching many buffers.
 	descend := func() float64 {
 		repairHolds(c, items, bufs, x)
-		_, best := evalBestT()
+		_, best := e.full(items, x)
 		const maxPasses = 25
 		for pass := 0; pass < maxPasses; pass++ {
 			improved := false
 			for _, f := range bufs {
 				cur := x[f]
 				bestV, bestObj := cur, best
-				for k := 0; k <= steps; k++ {
+				e.sweep(items, x, f)
+				for k := 0; k <= steps && !e.restBad; k++ {
 					v := latticeValue(f, k)
 					if v == cur {
 						continue
 					}
 					x[f] = v
-					if holdViolated(items, x) {
+					if e.move(items, x) {
 						continue
 					}
-					if _, obj := evalBestT(); obj < bestObj-1e-12 {
+					if _, obj := e.score(); obj < bestObj-1e-12 {
 						bestObj, bestV = obj, v
 					}
 				}
@@ -330,8 +399,7 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 	if prev != nil {
 		// Warm-started re-solve within a batch: bounds moved only a little,
 		// so a single descent from the previous optimum suffices.
-		copy(x, bestX)
-		t, obj := evalBestT()
+		t, obj := e.full(items, x)
 		return alignResult{T: t, X: x, Obj: obj}
 	}
 	// Cold start: restart from all-zero (quantized) and two deterministic
@@ -369,7 +437,7 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		}
 	}
 	copy(x, bestX)
-	t, obj := evalBestT()
+	t, obj := e.full(items, x)
 	return alignResult{T: t, X: x, Obj: obj}
 }
 
@@ -531,9 +599,7 @@ func alignMILP(c *circuit.Circuit, items []alignItem, paperBigM bool) (alignResu
 		x[f] = bv.lo + bv.step*math.Round(sol.X[bv.v])
 	}
 	res := alignResult{T: sol.X[tVar], X: x}
-	its := make([]alignItem, len(items))
-	copy(its, items)
-	res.Obj = alignObjective(its, res.T, x)
+	res.Obj = alignObjective(items, res.T, x)
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"effitest/internal/circuit"
@@ -23,6 +24,19 @@ func TestAssignWeightsMiddleHighest(t *testing.T) {
 	}
 }
 
+// weightedMedian runs the solver's weighted median (alignEval.median) over
+// unshifted values: one item per value, with a zero-width window there.
+func weightedMedian(vals, weights []float64) float64 {
+	items := make([]alignItem, len(vals))
+	for i, v := range vals {
+		items[i] = alignItem{lo: v, hi: v, weight: weights[i]}
+	}
+	var e alignEval
+	e.begin(items)
+	e.sweep(items, nil, -1)
+	return e.median()
+}
+
 func TestWeightedMedian(t *testing.T) {
 	if v := weightedMedian([]float64{1, 5, 9}, []float64{1, 1, 1}); v != 5 {
 		t.Fatalf("median = %v", v)
@@ -30,6 +44,42 @@ func TestWeightedMedian(t *testing.T) {
 	// Heavy weight pulls the median.
 	if v := weightedMedian([]float64{1, 5, 9}, []float64{10, 1, 1}); v != 1 {
 		t.Fatalf("weighted median = %v", v)
+	}
+	// Unsorted input, and non-integer weights (total summed in value order).
+	if v := weightedMedian([]float64{9, 1, 5}, []float64{0.5, 0.25, 0.3}); v != 5 {
+		t.Fatalf("non-integer weighted median = %v", v)
+	}
+	// The running weight reaching exactly half the total stops the walk.
+	if v := weightedMedian([]float64{2, 1}, []float64{1, 1}); v != 1 {
+		t.Fatalf("half-weight median = %v", v)
+	}
+}
+
+// TestAlignEvalMergeOrdersTiesByIndex pins the tie rule of the incremental
+// median: a moved item tied with an unmoved one is walked in item-index
+// order, as a stable sort of the whole batch would place it. The weights
+// make the order visible: (0.1+0.1)+0.4 and (0.1+0.4)+0.1 round apart, and
+// the last weight puts half the total between the two sums.
+func TestAlignEvalMergeOrdersTiesByIndex(t *testing.T) {
+	vals := []float64{0.5, 1, 1, 2}
+	wts := []float64{0.1, 0.1, 0.4, math.Nextafter(0.6, 1)}
+	items := make([]alignItem, len(vals))
+	for i, v := range vals {
+		items[i] = alignItem{lo: v, hi: v, weight: wts[i]}
+	}
+	items[2].from = 1 // the only item buffer 1 moves
+	x := []float64{0, 0}
+	var e alignEval
+	e.begin(items)
+	e.sweep(items, x, 1)
+	e.move(items, x)
+	want := weightedMedianVW(&valsWeights{v: slices.Clone(vals), w: slices.Clone(wts)})
+	if got := e.median(); got != want {
+		t.Fatalf("merged median %v, whole-batch stable median %v", got, want)
+	}
+	wts[1], wts[2] = wts[2], wts[1]
+	if swapped := weightedMedianVW(&valsWeights{v: slices.Clone(vals), w: wts}); swapped == want {
+		t.Fatalf("tie order does not matter for these weights (median %v either way)", want)
 	}
 }
 
