@@ -9,12 +9,12 @@ package effitest_test
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"sync"
 	"testing"
 
 	"effitest"
+	"effitest/internal/core"
 )
 
 // benchCircuits returns the circuits benchmarked by default (the two
@@ -144,7 +144,7 @@ func fixture(b *testing.B, name string, cfg effitest.Config) *flowFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := effitest.Prepare(c, cfg)
+	plan, err := core.Prepare(c, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,47 +203,6 @@ func BenchmarkEngineRunChips(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(chips))*float64(b.N)/b.Elapsed().Seconds(), "chips/s")
 		})
-	}
-}
-
-// BenchmarkFlowChipBatched measures the fleet flow through the batched
-// multi-RHS prediction path: 32 chips per op on one worker, unbatched
-// (k1) versus the auto width (k8). Outcomes are bit-identical
-// at every width (see TestBatchedPredictionMatchesUnbatched), so the delta
-// isolates what streaming each group's Cholesky factor through the cache
-// once per eight chips — instead of once per chip — buys, with worker
-// parallelism out of the picture.
-func BenchmarkFlowChipBatched(b *testing.B) {
-	for _, name := range []string{"s9234", "usb_funct"} {
-		f := fixture(b, name, effitest.DefaultConfig())
-		chips := effitest.SampleChips(f.circuit, 3, 32)
-		for _, kb := range []int{1, 8} {
-			// kN, not batch-N: benchjson strips a trailing -<digits> as the
-			// GOMAXPROCS suffix, so a dash here would corrupt the name.
-			b.Run(fmt.Sprintf("%s/k%d", name, kb), func(b *testing.B) {
-				eng, err := effitest.New(f.circuit,
-					effitest.WithPlan(f.plan),
-					effitest.WithPeriod(f.td),
-					effitest.WithWorkers(1),
-					effitest.WithPredictBatch(kb),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					outs, err := eng.RunChipsAll(ctx, chips)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(outs) != len(chips) {
-						b.Fatalf("got %d outcomes", len(outs))
-					}
-				}
-				b.ReportMetric(float64(len(chips))*float64(b.N)/b.Elapsed().Seconds(), "chips/s")
-			})
-		}
 	}
 }
 
@@ -328,7 +287,7 @@ func BenchmarkAblationSlotFill(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := effitest.Prepare(c, cfg)
+			plan, err := core.Prepare(c, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -397,7 +356,7 @@ func BenchmarkPrepare(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := effitest.Prepare(c, effitest.DefaultConfig()); err != nil {
+				if _, err := core.Prepare(c, effitest.DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -75,8 +75,9 @@
 // a typed Go client in effitest/fleet/client — so many tester processes
 // share one plan cache and engine pool.
 //
-// The pre-Engine free functions (Prepare, Plan.RunChip, YieldProposed, ...)
-// remain as thin shims and behave exactly as before.
+// A Plan (from Engine.Plan or LoadPlan) also runs chips directly through
+// Plan.RunChip, for callers that manage the test period and chip loop
+// themselves.
 package effitest
 
 import (
@@ -318,13 +319,6 @@ func WriteDOT(w io.Writer, c *Circuit) error { return circuit.WriteDOT(w, c) }
 // DefaultConfig returns the paper-aligned EffiTest flow configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Prepare runs the offline flow (Procedure 1, multiplexing, hold bounds).
-//
-// Deprecated: build an Engine with New, which prepares the plan, calibrates
-// the test period and adds context-aware (parallel) chip execution. Prepare
-// remains for callers that manage the period and chip loop themselves.
-func Prepare(c *Circuit, cfg Config) (*Plan, error) { return core.Prepare(c, cfg) }
-
 // SampleChip manufactures one chip deterministically in (seed, index).
 func SampleChip(c *Circuit, seed int64, index int) *Chip { return tester.SampleChip(c, seed, index) }
 
@@ -366,21 +360,12 @@ func PeriodQuantile(c *Circuit, seed int64, chips int, q float64) float64 {
 	return yield.PeriodQuantile(c, seed, chips, q)
 }
 
-// YieldNoBuffer, YieldIdeal and YieldProposed evaluate the three regimes the
-// paper compares.
+// YieldNoBuffer and YieldIdeal evaluate the two reference regimes the paper
+// compares the proposed flow against ((*Engine).Yield evaluates the third).
 func YieldNoBuffer(chips []*Chip, T float64) float64 { return yield.NoBuffer(chips, T) }
 
 // YieldIdeal is the yield with perfect per-chip delay measurement.
 func YieldIdeal(c *Circuit, chips []*Chip, T float64) float64 { return yield.Ideal(c, chips, T) }
-
-// YieldProposed runs the full EffiTest flow on every chip.
-//
-// Deprecated: use (*Engine).Yield or (*Engine).YieldAt, which fan chips
-// across the engine's worker pool with context cancellation. YieldProposed
-// uses the plan's Config.Workers and remains bit-compatible.
-func YieldProposed(plan *Plan, chips []*Chip, T float64) (ProposedStats, error) {
-	return yield.Proposed(plan, chips, T)
-}
 
 // YieldCurvePoint is one sample of a yield-versus-period sweep.
 type YieldCurvePoint = yield.CurvePoint

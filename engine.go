@@ -86,19 +86,6 @@ func WithWorkers(n int) Option {
 	return func(s *engineSettings) { s.cfg.Workers = n }
 }
 
-// WithPredictBatch sets how many in-flight chips RunChips and Stream group
-// into one conditional-prediction kernel call per correlation group: the
-// batched (TRSM-shaped) multi-RHS kernels stream each group's Cholesky
-// factor through the cache once per k chips instead of once per chip. 0
-// (the default) picks the width automatically; 1 disables batching;
-// negative counts are rejected by New. Like WithWorkers this is purely an
-// execution knob — results are bit-identical at any batch size, per-chip
-// streaming order is unchanged, and the setting is excluded from the
-// options fingerprint and the plan cache key.
-func WithPredictBatch(k int) Option {
-	return func(s *engineSettings) { s.cfg.PredictBatch = k }
-}
-
 // WithMaxBatch caps the size of a test batch (0 = unlimited).
 func WithMaxBatch(n int) Option {
 	return func(s *engineSettings) { s.cfg.MaxBatch = n }
@@ -177,9 +164,9 @@ func WithPlanCache(dir string) Option {
 // WithPlan supplies a pre-built plan (typically from LoadPlan) instead of
 // running Prepare. The plan must be bound to the same circuit handed to
 // New. The engine adopts the plan's flow configuration wholesale, so
-// flow-config options alongside WithPlan have no effect — except the
-// execution knobs WithWorkers and WithPredictBatch, which still apply on
-// top, since neither ever shaped a plan.
+// flow-config options alongside WithPlan have no effect — except
+// WithWorkers, which still applies on top, since the worker count never
+// shaped a plan.
 func WithPlan(pl *Plan) Option {
 	return func(s *engineSettings) {
 		s.plan = pl
@@ -369,10 +356,8 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 			return nil, false, core.ErrChipCircuitMismatch
 		}
 		// The plan's configuration governs the flow; only the engine's
-		// execution knobs (worker count, prediction batch width) apply on
-		// top.
+		// worker count applies on top.
 		pl.Cfg.Workers = s.cfg.Workers
-		pl.Cfg.PredictBatch = s.cfg.PredictBatch
 		if err := pl.Cfg.Validate(); err != nil {
 			return nil, false, err
 		}

@@ -34,18 +34,18 @@ func ExampleGenerate() {
 	// Output: s9234: 211 FFs, 5597 gates, 2 buffers, 80 paths
 }
 
-// ExamplePrepare runs the offline flow and reports how few paths need real
-// tester measurements.
-func ExamplePrepare() {
+// ExampleNew builds an engine, which runs the offline flow, and reports how
+// few paths need real tester measurements.
+func ExampleNew() {
 	c, err := effitest.Generate(effitest.NewProfile("doc", 24, 200, 3, 30), 1)
 	if err != nil {
 		panic(err)
 	}
-	plan, err := effitest.Prepare(c, effitest.DefaultConfig())
+	eng, err := effitest.New(c)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("measure %d of %d paths\n", plan.NumTested(), c.NumPaths())
+	fmt.Printf("measure %d of %d paths\n", eng.Plan().NumTested(), c.NumPaths())
 	// Output: measure 6 of 30 paths
 }
 

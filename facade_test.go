@@ -2,6 +2,7 @@ package effitest_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -14,16 +15,17 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := effitest.Prepare(c, effitest.DefaultConfig())
+	td := effitest.PeriodQuantile(c, 9, 400, 0.9)
+	eng, err := effitest.New(c, effitest.WithPeriod(td))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := eng.Plan()
 	if plan.NumTested() == 0 || plan.NumTested() >= c.NumPaths() {
 		t.Fatalf("npt = %d", plan.NumTested())
 	}
-	td := effitest.PeriodQuantile(c, 9, 400, 0.9)
 	chip := effitest.SampleChip(c, 2, 0)
-	out, err := plan.RunChip(chip, td)
+	out, err := eng.RunChip(context.Background(), chip)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,10 @@ func TestSummarizeOptionsFingerprint(t *testing.T) {
 	}
 
 	same := map[string]effitest.Option{
-		"workers":       effitest.WithWorkers(8),
-		"predict batch": effitest.WithPredictBatch(4),
-		"backend":       effitest.WithBackend(effitest.SimBackend{}),
-		"observer":      effitest.WithObserver(effitest.NewProgressPrinter(&strings.Builder{})),
-		"plan cache":    effitest.WithPlanCache("/tmp/x"),
+		"workers":    effitest.WithWorkers(8),
+		"backend":    effitest.WithBackend(effitest.SimBackend{}),
+		"observer":   effitest.WithObserver(effitest.NewProgressPrinter(&strings.Builder{})),
+		"plan cache": effitest.WithPlanCache("/tmp/x"),
 	}
 	for name, opt := range same {
 		if got := effitest.SummarizeOptions(opt); got.Fingerprint != base.Fingerprint {

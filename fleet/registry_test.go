@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,14 +203,15 @@ func TestRegistryConstructionErrorForgotten(t *testing.T) {
 	}
 }
 
-// countingBackend counts session opens (and otherwise simulates).
+// countingBackend counts session opens (and otherwise simulates). Workers
+// open sessions concurrently, so the count is atomic.
 type countingBackend struct {
-	opens int32
+	opens atomic.Int32
 	inner effitest.SimBackend
 }
 
 func (cb *countingBackend) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
-	cb.opens++
+	cb.opens.Add(1)
 	return cb.inner.Open(ch, resolution)
 }
 
@@ -247,7 +249,7 @@ func TestRegistryBackendAndObserverBypass(t *testing.T) {
 	if _, err := private.RunChipsAll(ctx, chips); err != nil {
 		t.Fatal(err)
 	}
-	if cb.opens == 0 {
+	if cb.opens.Load() == 0 {
 		t.Fatal("custom backend never used by the private engine")
 	}
 	obs, err := r.Engine(ctx, c, fastOpts(effitest.WithObserver(effitest.NewProgressPrinter(nopWriter{})))...)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"effitest/internal/circuit"
-	"effitest/internal/pool"
 	"effitest/internal/tester"
 )
 
@@ -201,7 +200,7 @@ func (pl *Plan) RunChipCtx(ctx context.Context, ch *tester.Chip, Td float64) (*C
 func (pl *Plan) RunChipOpts(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions) (*ChipOutcome, error) {
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	return pl.runChipScratch(ctx, ch, Td, opts, scr, pool.Resolve(pl.Cfg.Workers))
+	return pl.runChipScratch(ctx, ch, Td, opts, scr)
 }
 
 // measureChip runs the measurement phase — aligned delay test of every
@@ -271,9 +270,7 @@ func chipDone(obs Observer, chip int, out *ChipOutcome, err error) {
 // runChipScratch is RunChipOpts over a caller-owned scratch: the worker
 // pool hands each worker one scratch for its whole chip stream, so the hot
 // prediction and alignment state is reused instead of reallocated per chip.
-// pw is the within-chip prediction fan-out (subworkers sweeping the
-// correlation groups of one chip in parallel; ≤1 = sequential).
-func (pl *Plan) runChipScratch(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions, scr *chipScratch, pw int) (out *ChipOutcome, err error) {
+func (pl *Plan) runChipScratch(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions, scr *chipScratch) (out *ChipOutcome, err error) {
 	if ch.Circuit != pl.Circuit {
 		return nil, ErrChipCircuitMismatch
 	}
@@ -295,8 +292,7 @@ func (pl *Plan) runChipScratch(ctx context.Context, ch *tester.Chip, Td float64,
 		// Fast path: the baked kernels reduce §3.4's conditional estimation
 		// to a triangular solve + matvec per group, allocation-free over the
 		// worker's scratch, bit-identical to the naive path below.
-		scr.bounds = append(scr.bounds[:0], b)
-		ks.predictInto(scr.bounds, scr, pw)
+		ks.predictBounds(b, &scr.ws)
 	} else if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
 		return nil, err
 	}
@@ -314,99 +310,4 @@ func (pl *Plan) runChipScratch(ctx context.Context, ch *tester.Chip, Td float64,
 		return nil, err
 	}
 	return out, nil
-}
-
-// runChipBatch executes a contiguous run of chips as one scheduling unit:
-// measurement chip by chip, then §3.4 prediction batched across every chip
-// that measured cleanly — one TRSM-shaped multi-RHS kernel call per
-// correlation group — then configuration chip by chip. Outcomes are
-// bit-identical to per-chip execution (the batched kernels are column-wise
-// identical to the vector kernels) and a chip's failure stays its own
-// result: the rest of the batch proceeds without it. The returned slice is
-// parallel to chips, entry i carrying Index first+i.
-//
-// The batch's prediction wall time is attributed evenly: each predicted
-// chip's PredictDuration is the batch total divided by the batch's live
-// chip count.
-func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chip, Td float64, opts RunOptions, scr *chipScratch, pw int) []ChipResult {
-	obs := opts.Observer
-	res := make([]ChipResult, len(chips))
-	bs := make([]*Bounds, len(chips))
-	for i, ch := range chips {
-		res[i] = ChipResult{Index: first + i, Chip: ch}
-		if ch.Circuit != pl.Circuit {
-			// Mirror runChipScratch: a mismatched chip fails before the
-			// observer is engaged, so no ChipDone event.
-			res[i].Err = ErrChipCircuitMismatch
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			res[i].Err = err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		out, b, err := pl.measureChip(ctx, ch, opts, scr)
-		if err != nil {
-			res[i].Err = err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		res[i].Outcome = out
-		bs[i] = b
-	}
-
-	// Batched prediction over the survivors.
-	live := scr.bounds[:0]
-	for _, b := range bs {
-		if b != nil {
-			live = append(live, b)
-		}
-	}
-	scr.bounds = live
-	ks, kerr := pl.predictorKernels(ctx)
-	var share time.Duration
-	if kerr == nil && ks != nil && len(live) > 0 {
-		predStart := time.Now()
-		ks.predictInto(live, scr, pw)
-		share = time.Since(predStart) / time.Duration(len(live))
-	}
-
-	for i, ch := range chips {
-		if res[i].Err != nil || bs[i] == nil {
-			continue
-		}
-		out, b := res[i].Outcome, bs[i]
-		if kerr != nil {
-			res[i].Outcome, res[i].Err = nil, kerr
-			chipDone(obs, ch.Index, nil, kerr)
-			continue
-		}
-		if ks == nil {
-			// Naive fallback (plans without kernels), still per chip.
-			predStart := time.Now()
-			if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
-				res[i].Outcome, res[i].Err = nil, err
-				chipDone(obs, ch.Index, nil, err)
-				continue
-			}
-			out.PredictDuration = time.Since(predStart)
-		} else {
-			out.PredictDuration = share
-		}
-		if obs != nil {
-			e := PredictEvent{Chip: ch.Index, Duration: out.PredictDuration}
-			if ks != nil {
-				e.Groups = ks.predGroups
-				e.Predicted = ks.predPaths
-			}
-			obs.Observe(e)
-		}
-		if err := pl.finishChip(ch, Td, out, b); err != nil {
-			res[i].Outcome, res[i].Err = nil, err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		chipDone(obs, ch.Index, out, nil)
-	}
-	return res
 }

@@ -141,44 +141,6 @@ func (gk *groupKernel) predictOne(b *Bounds, ws *la.Workspace) {
 	}
 }
 
-// predictMulti applies one baked group predictor to K chips at once through
-// the TRSM-shaped multi-RHS kernels: the group's Cholesky factor and
-// cross-covariance stream through the cache once per batch instead of once
-// per chip. Column j of the observation block is chip j's measurements, so
-// each chip's result is bit-identical to predictOne (the multi kernels are
-// column-wise identical to the vector kernels). A single chip takes the
-// vector path — batching buys nothing there and the strided gather would
-// only cost.
-func (gk *groupKernel) predictMulti(bs []*Bounds, ws *la.Workspace) {
-	if len(bs) == 1 {
-		gk.predictOne(bs[0], ws)
-		return
-	}
-	ws.Reset()
-	obs := ws.TakeMatrix(len(gk.known), len(bs))
-	for i, k := range gk.known {
-		row := obs.RowView(i)
-		for j, b := range bs {
-			row[j] = b.Hi[k] // conservative: measured upper bounds
-		}
-	}
-	mu := ws.TakeMatrix(len(gk.unknown), len(bs))
-	gk.pred.MuBatchTo(&mu, &obs, ws)
-	for i, p := range gk.unknown {
-		sigma := gk.sigma[i]
-		row := mu.RowView(i)
-		for j, b := range bs {
-			m := row[j]
-			lo := m - 3*sigma
-			if lo < 0 {
-				lo = 0
-			}
-			b.Lo[p] = lo
-			b.Hi[p] = m + 3*sigma
-		}
-	}
-}
-
 // predictBounds is the per-chip fast path of PredictBounds: apply every
 // baked group predictor to the measured upper bounds in b and write the
 // μ′ ± 3σ′ windows back. Bit-identical to the naive path; allocation-free
@@ -193,55 +155,6 @@ func (ks *predictKernels) predictBounds(b *Bounds, ws *la.Workspace) {
 		}
 		gk.predictOne(b, ws)
 	}
-}
-
-// predictInto runs §3.4 prediction for a batch of chips' bounds, fanning
-// across groups when workers > 1. Groups partition the path set, so two
-// groups never write the same Bounds entry: the parallel sweep is race-free
-// and — because each group's arithmetic is untouched — bit-identical to the
-// sequential one at any worker count. Each subworker predicts over its own
-// workspace from scr.sub; the sequential path uses scr.ws and stays
-// allocation-free once warm.
-func (ks *predictKernels) predictInto(bs []*Bounds, scr *chipScratch, workers int) {
-	if len(bs) == 0 {
-		return
-	}
-	if workers > ks.predGroups {
-		workers = ks.predGroups
-	}
-	if workers <= 1 {
-		for i := range ks.groups {
-			gk := &ks.groups[i]
-			if gk.pred == nil {
-				continue
-			}
-			gk.predictMulti(bs, &scr.ws)
-		}
-		return
-	}
-	sub := scr.requireSub(workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		ws := &sub[w]
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(ks.groups) {
-					return
-				}
-				gk := &ks.groups[i]
-				if gk.pred == nil {
-					continue
-				}
-				gk.predictMulti(bs, ws)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // predictSigmas scatters the baked σ′ into a per-path slice — the kernel
@@ -365,22 +278,10 @@ func (pl *Plan) WithoutPredictorKernels() *Plan {
 // runBatchTest refills on every frequency step.
 type chipScratch struct {
 	ws     la.Workspace
-	sub    []la.Workspace // per-subworker arenas for within-chip group parallelism
-	bounds []*Bounds      // gather buffer for the batched prediction phase
 	items  []alignItem
 	order  []int // assignWeights rank buffer
 	active []int
 	al     alignScratch
-}
-
-// requireSub hands out n independent workspaces for the within-chip
-// parallel predict sweep, growing (and keeping) them across chips so the
-// arenas warm up once per worker.
-func (scr *chipScratch) requireSub(n int) []la.Workspace {
-	for len(scr.sub) < n {
-		scr.sub = append(scr.sub, la.Workspace{})
-	}
-	return scr.sub
 }
 
 // newChipScratch sizes a scratch for this plan: the kernel workspace at its

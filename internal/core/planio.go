@@ -195,10 +195,7 @@ func (d *planDecoder) ints() ([]int, error) {
 
 // encodeConfig writes every Config field in fixed order; decodeConfig is
 // its exact mirror. Adding a Config field requires extending both and
-// bumping PlanFormatVersion. PredictBatch is deliberately not serialized:
-// like Workers it never shapes the plan, and a loaded plan adopts the live
-// request's value (the plan cache and the engine both overwrite Cfg before
-// running chips), so decoded artifacts default to automatic batching.
+// bumping PlanFormatVersion.
 func encodeConfig(e *planEncoder, cfg Config) {
 	e.varint(cfg.Seed)
 	e.float(cfg.Eps)

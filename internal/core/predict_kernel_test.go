@@ -127,3 +127,50 @@ func TestWithoutPredictorKernelsFallsBack(t *testing.T) {
 			got.Iterations, got.Passed, got.Xi, want.Iterations, want.Passed, want.Xi)
 	}
 }
+
+// TestBindLazyKernelBake asserts Bind defers the per-group Cholesky bake:
+// a warm plan load must do no eager kernel work, the first chip run must
+// bake exactly once, and the lazily baked plan must match the eagerly
+// prepared one bitwise.
+func TestBindLazyKernelBake(t *testing.T) {
+	c, eager := kernelTestPlan(t)
+	data, err := eager.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := DecodePlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Bind(c); err != nil {
+		t.Fatal(err)
+	}
+	if pl.kernels != nil || pl.bakedKernels() != nil {
+		t.Fatal("Bind baked prediction kernels eagerly; the bake must defer to first use")
+	}
+	if pl.lazy == nil {
+		t.Fatal("Bind installed no lazy kernel state")
+	}
+
+	ch := tester.SampleChip(c, 9, 4)
+	want, err := eager.RunChip(ch, c.TNominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pl.RunChip(ch, c.TNominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.bakedKernels() == nil {
+		t.Fatal("first chip run did not bake the kernels")
+	}
+	if got.Iterations != want.Iterations || got.Passed != want.Passed || got.Xi != want.Xi {
+		t.Fatalf("lazily bound plan diverges: (%d, %v, %v) vs (%d, %v, %v)",
+			got.Iterations, got.Passed, got.Xi, want.Iterations, want.Passed, want.Xi)
+	}
+	for p := range want.Bounds.Lo {
+		if got.Bounds.Lo[p] != want.Bounds.Lo[p] || got.Bounds.Hi[p] != want.Bounds.Hi[p] {
+			t.Fatalf("path %d: lazily bound bounds diverge", p)
+		}
+	}
+}

@@ -36,7 +36,9 @@ type ChipResult struct {
 // stream always yields exactly len(chips) results unless the consumer
 // breaks first.
 //
-// RunChips is a slice adapter over the streaming core (see Stream).
+// RunChips is a slice adapter over the streaming core (see Stream): each
+// worker runs one chip at a time, and at most 3×workers chips are in
+// flight (started but not yet yielded) however far the consumer lags.
 func (pl *Plan) RunChips(ctx context.Context, chips []*tester.Chip, Td float64, workers int) iter.Seq[ChipResult] {
 	return pl.RunChipsOpts(ctx, chips, Td, workers, RunOptions{})
 }
@@ -47,19 +49,14 @@ func (pl *Plan) RunChipsOpts(ctx context.Context, chips []*tester.Chip, Td float
 	if len(chips) == 0 {
 		return func(func(ChipResult) bool) {}
 	}
-	total := pool.Resolve(workers)
-	w := total
+	w := pool.Resolve(workers)
 	if w > len(chips) {
 		w = len(chips)
 	}
-	// Leftover worker budget goes into the chips: when fewer chips than
-	// workers are in flight, each chip's prediction phase fans its
-	// correlation groups across the idle share of the pool.
-	pw := total / w
 	// drainAll: a slice's population is already materialized, so under
 	// cancellation every chip still gets its (error-tagged) result and the
 	// stream length stays len(chips).
-	return pl.stream(ctx, slices.Values(chips), Td, w, pl.resolvePredictBatch(len(chips), w), pw, opts, true)
+	return pl.stream(ctx, slices.Values(chips), Td, w, opts, true)
 }
 
 // Stream executes the online flow over an unbounded chip source: chips are
@@ -75,68 +72,17 @@ func (pl *Plan) RunChipsOpts(ctx context.Context, chips []*tester.Chip, Td float
 // blocked mid-pull — after the chips already being executed finish;
 // chips queued but not yet picked up by a worker are dropped. Breaking out
 // of the range likewise stops the source and releases the workers.
-//
-// Prediction batching is opt-in here, unlike RunChips: Config.PredictBatch
-// = 0 (auto) streams chip by chip, because a batch only dispatches once
-// full and a stalling generator would strand a partial batch for as long
-// as it stalls. Setting PredictBatch = K > 1 explicitly accepts that
-// latency (and a 3×workers×K in-flight window) in exchange for the batched
-// prediction kernels.
 func (pl *Plan) Stream(ctx context.Context, chips iter.Seq[*tester.Chip], Td float64, workers int, opts RunOptions) iter.Seq[ChipResult] {
-	w := pool.Resolve(workers)
-	return pl.stream(ctx, chips, Td, w, pl.resolvePredictBatch(-1, w), 1, opts, false)
-}
-
-// defaultPredictBatch is the auto batch width (Config.PredictBatch = 0):
-// wide enough that a group's Cholesky factor amortizes over several chips,
-// narrow enough that batching adds at most K-1 chips of latency before a
-// result can stream out.
-const defaultPredictBatch = 8
-
-// resolvePredictBatch maps Cfg.PredictBatch to the effective chips-per-job
-// count for a population of n chips (n < 0: unknown/unbounded) on w
-// workers. Batches never exceed an even share of a known population, so a
-// small fleet still spreads across every worker. An unbounded source only
-// batches on explicit request: a generator may stall mid-pull for
-// arbitrarily long, and chips held in a partially filled batch would sit
-// unexecuted for exactly that long — automatic batching must not trade
-// that latency (and the wider in-flight window) silently, so auto resolves
-// to 1 there.
-func (pl *Plan) resolvePredictBatch(n, w int) int {
-	k := pl.Cfg.PredictBatch
-	if k <= 0 {
-		if n < 0 {
-			return 1
-		}
-		k = defaultPredictBatch
-	}
-	if n >= 0 {
-		if share := (n + w - 1) / w; k > share {
-			k = share
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return pl.stream(ctx, chips, Td, pool.Resolve(workers), opts, false)
 }
 
 // stream is the shared fan-out core: one producer goroutine pulls chips
-// from src and hands jobs of up to kb consecutive chips to w workers; a
-// reorder buffer re-establishes input order on the way out. kb > 1 engages
-// the batched prediction path (runChipBatch) — per-chip results, order and
-// the in-flight window are unchanged, only the §3.4 kernel calls fuse. pw
-// is the within-chip prediction fan-out each worker may use. drainAll
-// selects the cancellation contract: true keeps producing after ctx
-// cancellation (slice semantics — every chip gets a result), false stops
-// the producer (unbounded-source semantics).
-func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float64, w, kb, pw int, opts RunOptions, drainAll bool) iter.Seq[ChipResult] {
-	if kb < 1 {
-		kb = 1
-	}
-	if pw < 1 {
-		pw = 1
-	}
+// from src and hands (index, chip) jobs to w workers; a reorder buffer
+// re-establishes input order on the way out. drainAll selects the
+// cancellation contract: true keeps producing after ctx cancellation
+// (slice semantics — every chip gets a result), false stops the producer
+// (unbounded-source semantics).
+func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float64, w int, opts RunOptions, drainAll bool) iter.Seq[ChipResult] {
 	return func(yield func(ChipResult) bool) {
 		runCtx, cancelRun := context.WithCancel(ctx)
 		defer cancelRun()
@@ -149,53 +95,30 @@ func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float
 		defer closeAbort()
 
 		type job struct {
-			first int
-			chips []*tester.Chip
+			i  int
+			ch *tester.Chip
 		}
 		jobs := make(chan job, w)
 		// window caps chips in flight (pulled from the source but not yet
-		// yielded) at 3×w×kb, making the documented fixed-memory window a
-		// hard guarantee: without it, one slow chip lets the other workers
-		// run ahead and pile completed results into the reorder buffer
-		// without bound. The producer acquires a slot per chip pulled; the
-		// reorder loop releases it when the chip's result is yielded. Scaling
-		// by kb keeps the producer able to fill w whole batches ahead — a
-		// batch never needs more slots than the window holds, so batching
-		// cannot deadlock the producer.
-		window := make(chan struct{}, 3*w*kb)
+		// yielded) at 3×w, making the documented fixed-memory window a hard
+		// guarantee: without it, one slow chip lets the other workers run
+		// ahead and pile completed results into the reorder buffer without
+		// bound. The producer acquires a slot per pull; the reorder loop
+		// releases it when the result is yielded.
+		window := make(chan struct{}, 3*w)
 		go func() {
 			defer close(jobs)
 			i := 0
-			var batch []*tester.Chip
-			// flush hands the accumulated batch to a worker; false = torn
-			// down, stop producing.
-			flush := func() bool {
-				if len(batch) == 0 {
-					return true
-				}
-				j := job{first: i - len(batch), chips: batch}
-				batch = nil
-				if drainAll {
-					select {
-					case jobs <- j:
-					case <-abort:
-						return false
-					}
-				} else {
-					select {
-					case jobs <- j:
-					case <-abort:
-						return false
-					case <-runCtx.Done():
-						return false
-					}
-				}
-				return true
-			}
 			for ch := range src {
+				j := job{i, ch}
 				if drainAll {
 					select {
 					case window <- struct{}{}:
+					case <-abort:
+						return
+					}
+					select {
+					case jobs <- j:
 					case <-abort:
 						return
 					}
@@ -210,17 +133,16 @@ func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float
 					case <-runCtx.Done():
 						return
 					}
+					select {
+					case jobs <- j:
+					case <-abort:
+						return
+					case <-runCtx.Done():
+						return
+					}
 				}
-				if batch == nil {
-					batch = make([]*tester.Chip, 0, kb)
-				}
-				batch = append(batch, ch)
 				i++
-				if len(batch) >= kb && !flush() {
-					return
-				}
 			}
-			flush()
 		}()
 
 		inner := make(chan ChipResult, w)
@@ -260,25 +182,14 @@ func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float
 					if !ok {
 						return
 					}
-					if len(j.chips) == 1 {
-						// Single chip: the exact pre-batching code path.
-						r := ChipResult{Index: j.first, Chip: j.chips[0]}
-						if r.Err = runCtx.Err(); r.Err == nil {
-							r.Outcome, r.Err = pl.runChipScratch(runCtx, j.chips[0], Td, opts, scr, pw)
-						}
-						select {
-						case inner <- r:
-						case <-abort:
-							return
-						}
-						continue
+					r := ChipResult{Index: j.i, Chip: j.ch}
+					if r.Err = runCtx.Err(); r.Err == nil {
+						r.Outcome, r.Err = pl.runChipScratch(runCtx, j.ch, Td, opts, scr)
 					}
-					for _, r := range pl.runChipBatch(runCtx, j.first, j.chips, Td, opts, scr, pw) {
-						select {
-						case inner <- r:
-						case <-abort:
-							return
-						}
+					select {
+					case inner <- r:
+					case <-abort:
+						return
 					}
 				}
 			}()

@@ -212,10 +212,6 @@ func (p *CondPredictor) NumUnknown() int { return len(p.MuU) }
 // ScratchLen returns the workspace floats one MuTo call takes.
 func (p *CondPredictor) ScratchLen() int { return len(p.MuT) }
 
-// ScratchLenBatch returns the workspace floats one MuBatchTo call over a
-// k-column observation block takes.
-func (p *CondPredictor) ScratchLenBatch(k int) int { return len(p.MuT) * k }
-
 // MuTo computes the conditional mean μ' (Eq. 4) for one observation vector
 // into dst (length NumUnknown), taking ScratchLen floats from ws. With a
 // warm workspace the call performs no heap allocation. The result is
@@ -236,46 +232,5 @@ func (p *CondPredictor) MuTo(dst, observed []float64, ws *la.Workspace) {
 	la.MulVecTo(dst, p.SigUT, delta)
 	for i := range dst {
 		dst[i] += p.MuU[i]
-	}
-}
-
-// MuBatchTo computes the conditional mean μ' (Eq. 4) for K observation
-// vectors in one TRSM-shaped kernel call: observed is a NumKnown×K block
-// whose column j is chip j's observation vector, dst a NumUnknown×K block
-// receiving column j's conditional means. The Cholesky factor and the
-// cross-covariance stream through the cache once for all K systems, which is
-// what the batched multi-chip prediction path amortizes.
-//
-// Column j of dst is bit-identical to MuTo on column j of observed: the
-// multi-RHS kernels perform the same floating-point operations in the same
-// order per column. The call takes ScratchLenBatch(K) floats from ws and,
-// with a warm workspace, performs no heap allocation.
-func (p *CondPredictor) MuBatchTo(dst, observed *la.Matrix, ws *la.Workspace) {
-	nt, nu := len(p.MuT), len(p.MuU)
-	if observed.Rows != nt {
-		panic(fmt.Sprintf("stats: predictor observed block %dx%d != %d known rows", observed.Rows, observed.Cols, nt))
-	}
-	if dst.Rows != nu || dst.Cols != observed.Cols {
-		panic(fmt.Sprintf("stats: predictor dst block %dx%d, want %dx%d", dst.Rows, dst.Cols, nu, observed.Cols))
-	}
-	// delta = observed - μ_t ; W = Σ_t⁻¹ delta, solved in place per column.
-	delta := ws.TakeMatrix(nt, observed.Cols)
-	for i := 0; i < nt; i++ {
-		mu := p.MuT[i]
-		src := observed.RowView(i)
-		row := delta.RowView(i)
-		for j, v := range src {
-			row[j] = v - mu
-		}
-	}
-	la.SolveCholeskyMultiTo(&delta, p.LT, &delta)
-	// μ' = μ_u + Σ_ut·W, accumulated product first exactly like MuTo.
-	la.MulMatTo(dst, p.SigUT, &delta)
-	for i := 0; i < nu; i++ {
-		mu := p.MuU[i]
-		row := dst.RowView(i)
-		for j := range row {
-			row[j] += mu
-		}
 	}
 }

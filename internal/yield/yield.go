@@ -142,25 +142,13 @@ func CurveCtx(ctx context.Context, c *circuit.Circuit, chips []*tester.Chip, loT
 	return out, nil
 }
 
-// Proposed runs the full EffiTest flow (aligned test, prediction,
+// ProposedOpts runs the full EffiTest flow (aligned test, prediction,
 // configuration, final pass/fail) on every chip and aggregates yield and
-// tester cost. Chips run on the plan's configured worker pool
-// (Config.Workers).
-func Proposed(plan *core.Plan, chips []*tester.Chip, T float64) (ProposedStats, error) {
-	return ProposedCtx(context.Background(), plan, chips, T)
-}
-
-// ProposedCtx is Proposed with cancellation. Chips fan out across the
-// plan's worker pool; the per-chip ATE accounting (iterations, scan bits)
-// is reduced from the ordered result stream, so the aggregate is bit-
-// identical to a sequential run.
-func ProposedCtx(ctx context.Context, plan *core.Plan, chips []*tester.Chip, T float64) (ProposedStats, error) {
-	return ProposedOpts(ctx, plan, chips, T, core.RunOptions{})
-}
-
-// ProposedOpts is ProposedCtx with a pluggable measurement backend and
-// event observer. The aggregation is a sequential fold through Agg, so a
-// sharded fleet reducing through Agg.Merge lands on the identical stats.
+// tester cost, with a pluggable measurement backend and event observer.
+// Chips fan out across the plan's worker pool (Config.Workers); the
+// aggregation is a sequential fold through Agg over the ordered result
+// stream, so the stats are bit-identical to a sequential run, and a sharded
+// fleet reducing through Agg.Merge lands on the identical stats.
 func ProposedOpts(ctx context.Context, plan *core.Plan, chips []*tester.Chip, T float64, opts core.RunOptions) (ProposedStats, error) {
 	if len(chips) == 0 {
 		return ProposedStats{}, nil

@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestProposedBetweenNoBufferAndIdeal(t *testing.T) {
 	}
 	chips := tester.SampleChips(c, 13, 100)
 	T := PeriodQuantile(c, 9, 400, 0.8413)
-	st, err := Proposed(plan, chips, T)
+	st, err := ProposedOpts(context.Background(), plan, chips, T, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestEmptyChipList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Proposed(plan, nil, 1)
+	st, err := ProposedOpts(context.Background(), plan, nil, 1, core.RunOptions{})
 	if err != nil || st.Yield != 0 {
 		t.Fatalf("empty proposed: %v %v", st, err)
 	}

@@ -5,7 +5,7 @@
 # Usage (from the repository root):
 #   scripts/bench.sh                    # fast subset, 1 op each -> BENCH_8.json
 #   BENCH_OUT=BENCH_9.json scripts/bench.sh
-#   BENCH_SHORT=1 scripts/bench.sh      # FlowChip* only
+#   BENCH_SHORT=1 scripts/bench.sh      # FlowChip only
 #   BENCH_PATTERN='Benchmark' BENCH_TIME=2s scripts/bench.sh   # everything, timed
 set -eu
 
@@ -18,10 +18,9 @@ set -eu
 BENCH_PATTERN="${BENCH_PATTERN:-BenchmarkFlowChip|BenchmarkEngineRunChips|BenchmarkPrepare|BenchmarkAblationAlignSolver|BenchmarkCampaignThroughput|BenchmarkCoordinatorThroughput}"
 BENCH_PKGS=". ./fleet ./fleet/coord"
 
-# Short mode: the online flow only. The unanchored pattern matches both
-# BenchmarkFlowChip (per-chip ns/op + allocs/op) and BenchmarkFlowChipBatched
-# (fleet chips/s through the batched multi-RHS prediction path). The CI
-# bench-regression job gates these same-machine with scripts/bench_ab.sh.
+# Short mode: the online flow only, BenchmarkFlowChip (per-chip ns/op +
+# allocs/op). The CI bench-regression job gates it same-machine with
+# scripts/bench_ab.sh.
 if [ "${BENCH_SHORT:-}" = 1 ]; then
   BENCH_PATTERN='BenchmarkFlowChip'
   BENCH_PKGS="."

@@ -19,10 +19,9 @@ base=$1
 out=$2
 benchtime="${BENCH_TIME:-1s}"
 
-# bench runs the gated benchmarks once in the current directory.
+# bench runs the gated benchmark once in the current directory.
 bench() {
   go test -run '^$' -bench '^BenchmarkFlowChip$/^(s9234|usb_funct)$' -benchtime "$benchtime" -count 1 .
-  go test -run '^$' -bench '^BenchmarkFlowChipBatched$/^s9234$/^k8$' -benchtime "$benchtime" -count 1 .
 }
 
 mkdir -p "$out"

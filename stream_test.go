@@ -112,6 +112,53 @@ func TestStreamMatchesRunChips(t *testing.T) {
 	}
 }
 
+// TestRunChipsInFlightWindow pins the slice path's in-flight window: with
+// one worker, at most 3 chips may have started (their first batch begun)
+// but not yet been yielded, however many chips the slice holds.
+func TestRunChipsInFlightWindow(t *testing.T) {
+	c, err := effitest.Generate(effitest.NewProfile("streamed", 16, 120, 2, 14), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started, yielded, worst atomic.Int64
+	eng, err := effitest.New(c,
+		effitest.WithWorkers(1),
+		effitest.WithPeriodQuantile(0.8413, 200),
+		effitest.WithObserver(effitest.ObserverFunc(func(e effitest.Event) {
+			if b, ok := e.(effitest.BatchStartEvent); ok && b.Batch == 0 {
+				// yielded counts from the start of the consumer's loop body,
+				// before the stream frees the chip's window slot, so this
+				// difference can only overstate what is in flight.
+				if d := started.Add(1) - yielded.Load(); d > worst.Load() {
+					worst.Store(d)
+				}
+			}
+		})),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	chips, err := eng.SampleChips(ctx, 11, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for r := range eng.RunChips(ctx, chips) {
+		yielded.Add(1)
+		if r.Err != nil {
+			t.Fatalf("chip %d: %v", r.Index, r.Err)
+		}
+		n++
+	}
+	if n != len(chips) || started.Load() != int64(len(chips)) {
+		t.Fatalf("yielded %d, started %d, want %d of each", n, started.Load(), len(chips))
+	}
+	if w := worst.Load(); w > 3 {
+		t.Fatalf("%d chips in flight on one worker, want at most 3", w)
+	}
+}
+
 // TestStreamBreakStopsSource breaks out of the stream early and checks
 // the source stops being pulled and no goroutines are leaked.
 func TestStreamBreakStopsSource(t *testing.T) {
