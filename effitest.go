@@ -99,7 +99,9 @@ import (
 // Circuit model and benchmark generation.
 type (
 	// Circuit is a benchmark instance: flip-flops, gates on the variation
-	// grid, statistical timing paths and tunable-buffer placement.
+	// grid, statistical timing paths and tunable-buffer placement. It is
+	// immutable once built: derived data (covariance, fingerprint) is
+	// stored on first use, so one circuit is safe to share.
 	Circuit = circuit.Circuit
 	// Profile holds a benchmark's published statistics (Table 1).
 	Profile = circuit.Profile
@@ -234,7 +236,8 @@ func SavePlan(path string, pl *Plan) error { return core.SavePlan(path, pl) }
 func LoadPlan(path string, c *Circuit) (*Plan, error) { return core.LoadPlan(path, c) }
 
 // CircuitFingerprint returns the stable content hash that keys plan
-// artifacts, the plan cache and fleet engine registries.
+// artifacts, the plan cache and fleet engine registries. It hashes the
+// circuit's netlist on the first call and returns the stored value after.
 func CircuitFingerprint(c *Circuit) (string, error) { return circuit.Fingerprint(c) }
 
 // ConfigFingerprint returns the stable hash of every Prepare-relevant flow

@@ -11,7 +11,9 @@ import (
 // needs when the journal was populated through this HTTP surface: each
 // payload is the original POST /v1/campaigns body, rebuilt with the same
 // circuit and config construction the submit handler used, so a recovered
-// campaign is the campaign the client submitted.
+// campaign is the campaign the client submitted. The decoder builds
+// circuits through its own circuit cache, so N journaled campaigns of one
+// design build it once.
 //
 // One deliberate divergence from the submit path: a plan_id that no longer
 // resolves is dropped instead of failing the decode. The plan store is
@@ -21,32 +23,15 @@ import (
 // artifact it replaces. Refusing to recover over a missing shortcut would
 // strand the campaign for no correctness gain.
 func SpecDecoder(plans *fleet.PlanStore) func([]byte) (fleet.CampaignSpec, error) {
+	circuits := newCircuitCache()
 	return func(payload []byte) (fleet.CampaignSpec, error) {
 		var req CampaignRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return fleet.CampaignSpec{}, fmt.Errorf("decoding journaled campaign request: %w", err)
 		}
-		c, err := req.Circuit.Build()
+		spec, err := campaignSpec(req, payload, circuits)
 		if err != nil {
 			return fleet.CampaignSpec{}, err
-		}
-		opts, err := req.Config.Options()
-		if err != nil {
-			return fleet.CampaignSpec{}, err
-		}
-		spec := fleet.CampaignSpec{
-			Name:           req.Name,
-			Circuit:        c,
-			Options:        opts,
-			ChipSeed:       req.Chips.Seed,
-			ChipCount:      req.Chips.Count,
-			ChipFirst:      req.Chips.First,
-			Workload:       req.Workload,
-			BinEdges:       req.BinEdges,
-			Drift:          req.Drift,
-			Key:            req.Key,
-			PlanID:         req.PlanID,
-			JournalPayload: payload,
 		}
 		if req.PlanID != "" && plans != nil {
 			if pl, ok, err := plans.Decode(req.PlanID); err == nil && ok {

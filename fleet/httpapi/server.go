@@ -39,8 +39,9 @@ const maxPlanUpload = 64 << 20
 // an http.Handler; per-request state lives in the request context, so one
 // Server serves any number of concurrent connections.
 type Server struct {
-	m   *fleet.Manager
-	mux *http.ServeMux
+	m        *fleet.Manager
+	mux      *http.ServeMux
+	circuits *circuitCache
 
 	token   string
 	limiter *rateLimiter
@@ -59,13 +60,14 @@ func New(m *fleet.Manager, opts ...Option) *Server {
 		opt(&o)
 	}
 	s := &Server{
-		m:       m,
-		mux:     http.NewServeMux(),
-		token:   o.token,
-		metrics: o.metrics,
-		log:     o.logger,
-		readTO:  o.readTO,
-		writeTO: o.writeTO,
+		m:        m,
+		mux:      http.NewServeMux(),
+		circuits: newCircuitCache(),
+		token:    o.token,
+		metrics:  o.metrics,
+		log:      o.logger,
+		readTO:   o.readTO,
+		writeTO:  o.writeTO,
 	}
 	if s.metrics == nil {
 		s.metrics = NewMetrics()
@@ -147,7 +149,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // submit handles POST /v1/campaigns. The raw body is retained past
 // decoding: it becomes the campaign's journal payload — the exact bytes a
 // recovering daemon re-decodes through SpecDecoder — so the journal's
-// notion of the spec can never drift from the API's.
+// notion of the spec can never drift from the API's. The circuit comes
+// from the server's circuit cache, so a repeat submit of one design skips
+// building and fingerprinting it.
 //
 // Idempotency: a request whose key matches a known campaign returns that
 // campaign with 200 (not 409 — the duplicate is the success case: the
@@ -177,29 +181,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	c, err := req.Circuit.Build()
+	spec, err := campaignSpec(req, body, s.circuits)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
-	}
-	opts, err := req.Config.Options()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	spec := fleet.CampaignSpec{
-		Name:           req.Name,
-		Circuit:        c,
-		Options:        opts,
-		ChipSeed:       req.Chips.Seed,
-		ChipCount:      req.Chips.Count,
-		ChipFirst:      req.Chips.First,
-		Workload:       req.Workload,
-		BinEdges:       req.BinEdges,
-		Drift:          req.Drift,
-		Key:            req.Key,
-		PlanID:         req.PlanID,
-		JournalPayload: body,
 	}
 	if req.PlanID != "" {
 		pl, ok, err := s.m.Plans().Decode(req.PlanID)

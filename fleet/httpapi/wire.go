@@ -84,7 +84,9 @@ type CustomProfile struct {
 	Paths   int    `json:"paths"`
 }
 
-// Build materializes the circuit.
+// Build materializes the circuit. It builds afresh on every call; the
+// server and SpecDecoder go through a bounded circuit cache instead, so
+// repeat submits of one design share one circuit.
 func (cs CircuitSpec) Build() (*effitest.Circuit, error) {
 	set := 0
 	for _, ok := range []bool{cs.Profile != "", cs.Custom != nil, cs.Netlist != ""} {

@@ -66,10 +66,13 @@ type Stats struct {
 	Compactions int64
 }
 
-// segment is one open (appendable) campaign log file.
+// segment is one open (appendable) campaign log file. spec is its spec
+// record minus the payload — what compaction rewrites — kept so that
+// settling never re-reads the file.
 type segment struct {
 	f    *os.File
 	size int64
+	spec Spec
 }
 
 // Journal is a directory of campaign segments. All methods are safe for
@@ -163,7 +166,8 @@ func (j *Journal) Begin(sp Spec) error {
 		j.appendE++
 		return fmt.Errorf("journal: %w", err)
 	}
-	seg := &segment{f: f}
+	seg := &segment{f: f, spec: sp}
+	seg.spec.Payload = nil
 	if err := j.appendLocked(seg, frame); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -254,12 +258,7 @@ func (j *Journal) compactLocked(id string, seg *segment, state, errMsg string) {
 		j.settledB += finalSize
 	}()
 
-	sp, ok := j.readSpecLocked(id)
-	if !ok {
-		return
-	}
-	sp.Payload = nil
-	buf, err := encodeRecord(recSpec, sp)
+	buf, err := encodeRecord(recSpec, seg.spec)
 	if err != nil {
 		return
 	}
@@ -280,20 +279,6 @@ func (j *Journal) compactLocked(id string, seg *segment, state, errMsg string) {
 	j.syncDirLocked()
 	j.compacts++
 	finalSize = int64(len(buf))
-}
-
-// readSpecLocked re-reads a segment's spec record (compaction needs it;
-// the journal does not keep specs in memory).
-func (j *Journal) readSpecLocked(id string) (Spec, bool) {
-	data, err := os.ReadFile(filepath.Join(j.dir, id+segSuffix))
-	if err != nil {
-		return Spec{}, false
-	}
-	camp, _, ok := parseSegment(id, data)
-	if !ok {
-		return Spec{}, false
-	}
-	return camp.Spec, true
 }
 
 // writeFileSynced writes data to path and fsyncs the file.

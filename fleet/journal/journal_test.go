@@ -214,6 +214,57 @@ func TestSettleCompacts(t *testing.T) {
 	}
 }
 
+// TestCompactedBytes pins the compacted segment byte for byte: spec record
+// minus payload, then settle — whether the segment was opened by Begin or
+// reopened by Recover (compaction rewrites the spec the segment holds in
+// memory, never a re-read of the file).
+func TestCompactedBytes(t *testing.T) {
+	j, dir := openT(t)
+	fresh, resumed := spec("c000001", 4), spec("c000002", 4)
+	for _, sp := range []Spec{fresh, resumed} {
+		if err := j.Begin(sp); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendChip(sp.ID, chip(0, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Settle(fresh.ID, "done", ""); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2 := reopenT(t, dir)
+	if _, err := j2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Settle(resumed.ID, "failed", "boom"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sp            Spec
+		state, errMsg string
+	}{{fresh, "done", ""}, {resumed, "failed", "boom"}} {
+		sp := tc.sp
+		sp.Payload = nil
+		want, err := encodeRecord(recSpec, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle, err := encodeRecord(recSettle, settleRecord{State: tc.state, Error: tc.errMsg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, settle...)
+		got, err := os.ReadFile(filepath.Join(dir, sp.ID+segSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: compacted segment differs from spec+settle:\n got %q\nwant %q", sp.ID, got, want)
+		}
+	}
+}
+
 // TestTornTailTruncated simulates a crash mid-append: garbage after the
 // last intact frame is cut on recovery and the intact records survive.
 func TestTornTailTruncated(t *testing.T) {

@@ -101,7 +101,9 @@ func (j *Journal) recoverSegmentLocked(id string) (Campaign, bool, error) {
 	if err != nil {
 		return Campaign{}, false, fmt.Errorf("journal: reopening %s: %w", id, err)
 	}
-	j.open[id] = &segment{f: f, size: int64(good)}
+	seg := &segment{f: f, size: int64(good), spec: camp.Spec}
+	seg.spec.Payload = nil
+	j.open[id] = seg
 	return camp, true, nil
 }
 

@@ -179,7 +179,15 @@ func TestRecoverBitIdentical(t *testing.T) {
 	}
 
 	// The campaign settled on the recovery boot: its segment compacted.
-	if js := j2.Stats(); js.Compactions != 1 || js.OpenSegments != 0 {
+	// Wait returns once the campaign is terminal; the manager journals the
+	// settle record just after waking waiters, so give it a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	js := j2.Stats()
+	for (js.Compactions != 1 || js.OpenSegments != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		js = j2.Stats()
+	}
+	if js.Compactions != 1 || js.OpenSegments != 0 {
 		t.Fatalf("journal after recovery run: %+v", js)
 	}
 }

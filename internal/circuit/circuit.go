@@ -41,6 +41,14 @@ type Path struct {
 }
 
 // Circuit is a complete benchmark instance.
+//
+// A circuit is immutable once built (by Generate, ParseNetlist or
+// WithInflatedSigma): every consumer — plans, engines, registries, caches —
+// may share one *Circuit across goroutines. Derived data (the covariance
+// matrices, the Fingerprint) is computed on first use and stored on the
+// circuit, so mutating a built circuit's exported fields would leave those
+// stale. A variant must be derived by copying and must reset the stored
+// data, as WithInflatedSigma does.
 type Circuit struct {
 	Name     string
 	NumFF    int
@@ -69,6 +77,13 @@ type Circuit struct {
 	Model *variation.Model
 
 	covCache *covCacheT
+	// fp is the stored Fingerprint, empty until first computed; guarded by
+	// fpMu.
+	fp string
+	// inflation is the WithInflatedSigma factor, 0 for an uninflated
+	// circuit. The netlist records it, so the round trip is exact and the
+	// fingerprint tells an inflated circuit from its original.
+	inflation float64
 }
 
 type covCacheT struct {
@@ -187,17 +202,38 @@ func (c *Circuit) HoldBoundMean(p int) float64 {
 // ("we manually increased the standard deviations of all delays by 10%.
 // Since we did not change the covariance matrix ... this change led to a
 // large increase in the purely random parts"). Only the private Rand terms
-// grow.
+// grow. The copy records the factor (its netlist carries an inflate
+// directive), so it never shares a fingerprint — and hence a plan-cache
+// entry — with the original. An inflated circuit cannot be inflated again:
+// inflate the original once by the product instead.
 func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
-	if factor < 1 {
-		return nil, errors.New("circuit: inflation factor must be >= 1")
+	if !(factor >= 1) || math.IsInf(factor, 1) {
+		return nil, errors.New("circuit: inflation factor must be finite and >= 1")
 	}
+	if c.inflation != 0 {
+		return nil, errors.New("circuit: circuit is already sigma-inflated")
+	}
+	// The copy reads the stored fields, so it takes their locks: another
+	// goroutine may be storing them on c right now.
+	covMu.Lock()
+	fpMu.Lock()
 	out := *c
+	fpMu.Unlock()
+	covMu.Unlock()
 	out.covCache = nil
+	out.fp = ""
+	out.inflation = factor
 	out.Paths = make([]Path, len(c.Paths))
 	copy(out.Paths, c.Paths)
-	for i := range out.Paths {
-		p := &out.Paths[i]
+	inflateRand(out.Paths, factor)
+	return &out, nil
+}
+
+// inflateRand grows each path's private max-delay term so its standard
+// deviation scales by factor while the correlated part stays fixed.
+func inflateRand(paths []Path, factor float64) {
+	for i := range paths {
+		p := &paths[i]
 		v := p.Max.Var()
 		target := factor * factor * v
 		corrPart := v - p.Max.Rand*p.Max.Rand
@@ -205,7 +241,6 @@ func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
 		mx := p.Max
 		p.Max = ssta.Canon{Mean: mx.Mean, Coef: mx.Coef, Rand: newRand}
 	}
-	return &out, nil
 }
 
 // Validate checks structural invariants; generators and parsers run it

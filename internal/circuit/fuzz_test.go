@@ -22,6 +22,25 @@ func validNetlistSeed(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// inflatedNetlistSeed is validNetlistSeed's circuit after WithInflatedSigma,
+// so the fuzzer also mutates the inflate directive.
+func inflatedNetlistSeed(tb testing.TB) []byte {
+	tb.Helper()
+	c, err := ParseNetlist(bytes.NewReader(validNetlistSeed(tb)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inf, err := c.WithInflatedSigma(1.1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteNetlist(&buf, inf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzParseNetlist feeds arbitrary bytes to the netlist parser. The parser
 // must never panic, hang or allocate unboundedly; whenever it accepts an
 // input, the resulting circuit must be internally valid and must survive a
@@ -37,6 +56,7 @@ func FuzzParseNetlist(f *testing.F) {
 	f.Add([]byte("effitest-netlist v1\nvariation 9000000 9000000 .1 .1 .1 .2 1 .5 .4 .7 .03\nend\n"))
 	f.Add([]byte("effitest-netlist v1\nbuffer 0 0.5 -0.5 8\nend\n"))
 	f.Add([]byte("# comment\n\neffitest-netlist v1\ngate 0 1 2\nend\n"))
+	f.Add(inflatedNetlistSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ParseNetlist(bytes.NewReader(data))
 		if err != nil {
@@ -100,6 +120,9 @@ func requireEqualCircuits(t *testing.T, a, b *Circuit) {
 	}
 	if a.SetupTime != b.SetupTime || a.HoldTime != b.HoldTime || a.TNominal != b.TNominal {
 		t.Fatal("round trip changed timing constants")
+	}
+	if a.inflation != b.inflation {
+		t.Fatalf("round trip changed the sigma inflation: %v vs %v", a.inflation, b.inflation)
 	}
 	for i := range a.Paths {
 		pa, pb := &a.Paths[i], &b.Paths[i]

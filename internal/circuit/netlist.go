@@ -17,7 +17,8 @@ import (
 // The netlist format is a line-oriented text form that captures circuit
 // structure (FFs, gates with placement, paths, buffers, exclusions) plus the
 // variation-model configuration. Statistical delay forms are derived data:
-// the parser reconstructs every canonical form from the gates, so a
+// the parser reconstructs every canonical form from the gates (and applies
+// the optional "inflate" directive a WithInflatedSigma copy carries), so a
 // write/parse round trip reproduces the circuit exactly.
 
 const netlistHeader = "effitest-netlist v1"
@@ -36,7 +37,7 @@ const (
 // netlistArity maps every directive to its fixed argument count.
 var netlistArity = map[string]int{
 	"end": 0, "circuit": 1, "ffs": 1, "setup": 1, "hold": 1, "tnominal": 1,
-	"variation": 11, "buffer": 4, "gate": 4, "path": 6, "exclusive": 2,
+	"variation": 11, "inflate": 1, "buffer": 4, "gate": 4, "path": 6, "exclusive": 2,
 }
 
 // parseFinite parses a float and rejects NaN/±Inf: every numeric quantity
@@ -75,6 +76,9 @@ func WriteNetlist(w io.Writer, c *Circuit) error {
 		ff(cfg.SigmaL), ff(cfg.SigmaTox), ff(cfg.SigmaVth),
 		ff(cfg.CorrGlobal), ff(cfg.CorrDecay),
 		ff(cfg.SensL), ff(cfg.SensTox), ff(cfg.SensVth), ff(cfg.SigmaRand))
+	if c.inflation != 0 {
+		fmt.Fprintf(bw, "inflate %s\n", ff(c.inflation))
+	}
 	for i, b := range c.Buffered {
 		d := c.Devices.Devices[i]
 		fmt.Fprintf(bw, "buffer %d %s %s %d\n", b, ff(d.Lo), ff(d.Hi), d.Steps)
@@ -212,6 +216,18 @@ func ParseNetlist(r io.Reader) (*Circuit, error) {
 				SigmaRand: fs[8],
 			}
 			haveVar = true
+		case "inflate":
+			v, err := parseFinite(fields[1])
+			if err != nil {
+				return nil, fail("bad inflate: %v", err)
+			}
+			if v < 1 {
+				return nil, fail("inflate factor %g below 1", v)
+			}
+			if c.inflation != 0 {
+				return nil, fail("duplicate inflate")
+			}
+			c.inflation = v
 		case "buffer":
 			ffid, err1 := strconv.Atoi(fields[1])
 			lo, err2 := parseFinite(fields[2])
@@ -327,6 +343,9 @@ done:
 			Max: ssta.ShiftMean(canon, c.SetupTime),
 			Min: ssta.Scale(canon, rp.minScale),
 		})
+	}
+	if c.inflation != 0 {
+		inflateRand(c.Paths, c.inflation)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)

@@ -315,6 +315,10 @@ func diffCircuits(tb testing.TB) []*circuit.Circuit {
 				diffCircuitsErr = err
 				return
 			}
+			// c is fresh from Generate, so the copy inherits no stored
+			// derived data (covariance, fingerprint). Only Buf changes,
+			// which the netlist does not carry: the grid copy must never
+			// key a plan cache.
 			grid := *c
 			grid.Buf = skew.Uniform(c.NumFF, c.Buffered, -0.25, 0.25, 16)
 			diffCircuitsSet = append(diffCircuitsSet, c, &grid)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"effitest/internal/circuit"
+	"effitest/internal/core"
 )
 
 // fastCfg shrinks chip counts so the harness itself can be unit-tested.
@@ -173,5 +174,54 @@ func TestPaperValuesComplete(t *testing.T) {
 		if _, ok := PaperTable2[p.Name]; !ok {
 			t.Fatalf("missing paper Table 2 row for %s", p.Name)
 		}
+	}
+}
+
+// Figure 7 must read the same plan from a warm plan cache as it prepares
+// cold. Its inflated circuit differs from the original only in the paths'
+// private Rand terms; the recorded inflation gives it its own fingerprint,
+// so a cache warmed with the original's plan (as Table 2 leaves it) misses.
+func TestFig7WarmPlanCache(t *testing.T) {
+	ctx := context.Background()
+	p, _ := circuit.ProfileByName("s9234")
+	cfg := fastCfg()
+	cold, err := Fig7(ctx, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.PlanCache = t.TempDir()
+	c, err := circuit.Generate(p, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflated, err := c.WithInflatedSigma(1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := core.NewPlanCache(cfg.PlanCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ko, err := pc.Key(c, cfg.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ki, err := pc.Key(inflated, cfg.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ko == ki {
+		t.Fatal("inflated circuit shares the original's plan-cache key")
+	}
+	if _, err := preparePlan(ctx, c, cfg); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Fig7(ctx, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Fatalf("warm plan cache gives %+v, cold gives %+v", warm, cold)
 	}
 }
